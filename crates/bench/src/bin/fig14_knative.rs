@@ -3,21 +3,26 @@
 //! Left: the 100-app evaluation subtrace's volume distribution follows
 //! the full fleet's. Mid-left: per-app cold-start percentage, FeMux vs
 //! Knative's default KPA (paper: >50 % reduction for over 25 % of apps).
-//! Mid-right: aggregate RUM (paper: −36 %). Right: FeMux-pod
-//! scalability — forecast latency vs apps per pod (paper: 1,200 apps per
-//! 1-vCPU pod at 7 ms mean / 25 ms p99).
+//! Mid-right: aggregate RUM (paper: −36 %). Right: the FeMux pod's
+//! serving cost (paper: 1,200 apps per 1-vCPU pod at 7 ms mean / 25 ms
+//! p99 per forecast), measured with `femux_serve::run` — the full
+//! per-app pipeline (ingest, incremental features, block-boundary
+//! classification, forecast, pod target) at the paper's config — on 1
+//! and 2 shards, one shard per thread ≈ one vCPU. Every tick is timed,
+//! boundary ticks included; the implied apps per vCPU is how many apps
+//! the costliest shard's worst tick would fit into a 60 s tick.
 
 use std::sync::Arc;
-use std::time::Duration;
 
+use femux::config::FemuxConfig;
 use femux_bench::table::{delta_pct, f1, pct, print_series, print_table};
 use femux_bench::{azure_setup, Scale};
-use femux_knative::{
-    run_scalability, FemuxKnativePolicy, KpaConfig, KpaPolicy,
-    ScalabilityConfig,
-};
+use femux_knative::{FemuxKnativePolicy, KpaConfig, KpaPolicy};
 use femux_rum::RumSpec;
+use femux_serve::{shard_of, ServeConfig};
 use femux_sim::{run_fleet_auto, SimConfig};
+use femux_stats::desc::Summary;
+use femux_trace::ops::clip_window;
 use femux_trace::split::representative_sample;
 use femux_trace::Trace;
 
@@ -144,34 +149,101 @@ fn main() {
         ],
     );
 
-    // --- Right: FeMux-pod scalability (wall clock). ---
-    let duration = match scale {
-        Scale::Small => Duration::from_secs(3),
-        _ => Duration::from_secs(10),
+    // --- Right: FeMux serving cost at the paper config (wall clock). ---
+    let paper = FemuxConfig::default();
+    // Medium and large scale already train at the paper's config.
+    let serve_model = match scale {
+        Scale::Small => {
+            eprintln!("training FeMux at the paper config...");
+            setup.train_femux(&paper)
+        }
+        _ => Arc::clone(&model),
     };
+    // History warm-up plus one full block, so the served window holds
+    // a block boundary: every app classifies on the same tick.
+    let ticks = paper.history + paper.block_len;
+    let live = clip_window(&full, 0, ticks as u64 * 60_000);
+    let mut digests = Vec::new();
     let mut rows = Vec::new();
-    for (pods, apps) in
-        [(1, 600), (1, 1_200), (1, 2_400), (2, 2_400), (4, 4_800)]
-    {
-        let res = run_scalability(&ScalabilityConfig {
-            pods,
-            apps,
-            duration,
-            ..ScalabilityConfig::default()
-        });
+    for shards in [1usize, 2] {
+        eprintln!(
+            "serving {} apps on {shards} shard(s)...",
+            live.apps.len()
+        );
+        let report = femux_serve::run(
+            &live,
+            Arc::clone(&serve_model),
+            &ServeConfig {
+                shards,
+                measure_latency: true,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("synthetic traces are time-sorted");
+        digests.push(report.digest());
+        let mut apps_on = vec![0usize; shards];
+        for app in &report.apps {
+            apps_on[shard_of(app.id, shards)] += 1;
+        }
+        // The costliest shard's worst tick, per app it serves.
+        let worst_us_per_app = report
+            .tick_wall_us
+            .iter()
+            .zip(&apps_on)
+            .map(|(shard_ticks, &apps)| {
+                shard_ticks.iter().copied().max().unwrap_or(0) as f64
+                    / apps.max(1) as f64
+            })
+            .fold(0.0, f64::max);
+        let ticks_ms: Vec<f64> = report
+            .tick_wall_us
+            .iter()
+            .flatten()
+            .map(|&us| us as f64 / 1_000.0)
+            .collect();
+        let tick =
+            Summary::of(&ticks_ms).expect("served at least one tick");
+        let wall_us: u64 = report.tick_wall_us.iter().flatten().sum();
+        let app_steps = report.apps.len() * report.steps;
         rows.push(vec![
-            pods.to_string(),
-            apps.to_string(),
-            f1(res.offered_rps),
-            f1(res.achieved_rps),
-            f1(res.latency_ms.mean),
-            f1(res.latency_ms.p99),
+            shards.to_string(),
+            apps_on.iter().max().copied().unwrap_or(0).to_string(),
+            f1(tick.p50),
+            f1(tick.p99),
+            f1(tick.max),
+            f1(wall_us as f64 / app_steps.max(1) as f64),
+            format!("{:.0}", 60e6 / worst_us_per_app.max(1e-9)),
+            format!("{:016x}", report.digest()),
         ]);
     }
+    assert_eq!(
+        digests[0], digests[1],
+        "serving decisions must not depend on the shard count"
+    );
+    let kinds: Vec<&str> =
+        paper.forecasters.iter().map(|k| k.name()).collect();
     print_table(
-        "Fig. 14-Right — FeMux pod scalability (paper: 1,200 apps/pod \
-         at 7 ms mean / 25 ms p99; graceful horizontal scale-out)",
-        &["pods", "apps", "offered rps", "achieved rps", "mean ms", "p99 ms"],
+        &format!(
+            "Fig. 14-Right — FeMux serving cost, femux-serve at the paper \
+             config (block {} min, history {} min, forecasters {}; {} apps \
+             x {ticks} ticks, every tick timed incl. the block boundary; \
+             paper: 1,200 apps per 1-vCPU pod at 7 ms mean / 25 ms p99 per \
+             forecast)",
+            paper.block_len,
+            paper.history,
+            kinds.join("/"),
+            live.apps.len(),
+        ),
+        &[
+            "shards",
+            "apps/shard",
+            "tick p50 ms",
+            "tick p99 ms",
+            "tick max ms",
+            "us/app-step",
+            "apps/vCPU @ 60 s",
+            "digest",
+        ],
         &rows,
     );
 }

@@ -85,7 +85,10 @@ impl Tally {
     }
 }
 
-fn policies() -> Vec<(&'static str, fn() -> Box<dyn ScalingPolicy>)> {
+/// Builds a fresh per-app policy instance.
+type PolicyFactory = fn() -> Box<dyn ScalingPolicy>;
+
+fn policies() -> Vec<(&'static str, PolicyFactory)> {
     vec![
         ("keepalive-10min", || {
             Box::new(KeepAlivePolicy::ten_minutes())

@@ -14,20 +14,20 @@
 //!   concurrency batched into minutes, routed to forecasting threads,
 //!   returning a predictive target that overrides the reactive KPA for
 //!   one minute at a time.
-//! - [`scalability`]: a wall-clock multi-threaded harness measuring
-//!   forecasting-service latency (the paper: ≥1,200 apps per 1-vCPU
-//!   FeMux pod at 7 ms mean / 25 ms p99) and horizontal scale-out.
+//! - [`replayer`]: wall-clock trace replay (the prototype's
+//!   FaaSProfiler role) — worker threads busy-wait each invocation so
+//!   queuing under under-provisioning is observed, not simulated.
+//!
+//! The FeMux pod's own serving cost (the paper: ≥1,200 apps per 1-vCPU
+//! pod at 7 ms mean / 25 ms p99) is measured by `femux-serve`, which
+//! runs the full per-app pipeline every tick.
 
 pub mod integration;
 pub mod kpa;
 pub mod replayer;
-pub mod scalability;
 pub mod statestore;
 
 pub use integration::FemuxKnativePolicy;
 pub use kpa::{KpaConfig, KpaPolicy};
-pub use scalability::{
-    run_scalability, ScalabilityConfig, ScalabilityResult,
-};
 pub use replayer::{replay, ReplayConfig, ReplayResult};
 pub use statestore::StateStore;

@@ -21,7 +21,8 @@ use femux_sim::{
 };
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 
-/// Serializes the tests that toggle the process-global obs switches.
+/// Serializes every test here: the obs switches and sink are process
+/// globals that a concurrent instrumented run would record into.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn spans_cfg(rate: f64) -> SimConfig {
@@ -111,6 +112,9 @@ fn rate_zero_is_indistinguishable_from_no_span_config() {
 
 #[test]
 fn span_segments_sum_to_the_engine_delay_exactly_and_match_the_oracle() {
+    // Span-instrumented runs record into the global sink while the
+    // thread-invariance test is collecting from it.
+    let _lock = OBS_LOCK.lock().expect("obs test lock");
     let trace = generate(&IbmFleetConfig::small(23));
     // The per-millisecond oracle steps every ms of the span, so clamp
     // the replay window (the clamp itself is part of the contract) and

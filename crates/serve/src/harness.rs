@@ -6,7 +6,8 @@
 //! is byte-identical for any shard count: sharding only partitions the
 //! per-app state — each app's sample stream, fault draws (keyed by app
 //! id), and decisions are the same wherever it lives. Wall-clock tick
-//! latencies are measured per shard for the capacity bench and
+//! latencies are measured per shard for the repository benchmark
+//! (`perfbench`) and `fig14_knative`'s serving-cost panel, and
 //! deliberately excluded from the digest.
 
 use std::sync::Arc;
@@ -34,7 +35,7 @@ pub struct ServeConfig {
     /// Injected fault plan (report loss + forecaster faults), if any.
     pub faults: Option<FaultConfig>,
     /// Measure per-tick wall latency (off by default: the numbers are
-    /// nondeterministic and for the capacity bench only).
+    /// nondeterministic; `perfbench` and `fig14_knative` read them).
     pub measure_latency: bool,
 }
 
@@ -119,12 +120,6 @@ impl ServeReport {
             }
         }
         crate::fnv1a(&bytes)
-    }
-
-    /// Fleet-wide pod-target sum (a cheap scalar the capacity bench
-    /// compares across runs).
-    pub fn total_pod_targets(&self) -> u64 {
-        self.apps.iter().map(|a| a.target_pod_sum).sum()
     }
 }
 

@@ -20,8 +20,8 @@
 //!   re-promotion when forecasts panic or go non-finite.
 //! - **Determinism** ([`harness::ServeReport::digest`]): same trace +
 //!   seed ⇒ byte-identical decisions and metrics at *any* shard count.
-//!   Wall-clock tick latencies are measured (for the capacity bench)
-//!   but excluded from the digest.
+//!   Wall-clock tick latencies are measured (for `perfbench` and
+//!   `fig14_knative`) but excluded from the digest.
 //!
 //! The trace feed ([`feed::TraceFeed`]) runs on a virtual clock — one
 //! step per trace minute — and goes through the strict ingest boundary

@@ -14,7 +14,7 @@
 //! 4. **Strict ingest**: clamped out-of-order traces serve
 //!    deterministically too, and the clamp count is surfaced.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use femux::config::FemuxConfig;
 use femux::manager::AppManager;
@@ -28,8 +28,17 @@ use femux_trace::synth::azure::{self, AzureFleetConfig};
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 use femux_trace::{Invocation, Trace};
 
-/// Serializes tests that toggle the process-global obs switches.
+/// Serializes every test in this file. The obs switches and sink are
+/// process globals, so a test serving concurrently with the one that
+/// collects metrics would record its `serve.*` counters into that
+/// test's report.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`TEST_LOCK`], recovering it if an earlier test panicked while
+/// holding it (that test already reports its own failure).
+fn lock() -> MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn fleet_trace() -> Trace {
     let mut trace = generate(&IbmFleetConfig::small(42));
@@ -68,7 +77,7 @@ fn model() -> Arc<FemuxModel> {
 
 #[test]
 fn one_and_eight_shards_serve_byte_identically() {
-    let _lock = TEST_LOCK.lock().expect("test lock");
+    let _lock = lock();
     let trace = fleet_trace();
     let model = model();
     let serve = |shards: usize| {
@@ -102,6 +111,7 @@ fn one_and_eight_shards_serve_byte_identically() {
 
 #[test]
 fn fault_injected_serving_is_shard_invariant() {
+    let _lock = lock();
     let trace = fleet_trace();
     let model = model();
     let plan = femux_fault::FaultConfig::uniform(13, 0.05);
@@ -133,6 +143,7 @@ fn fault_injected_serving_is_shard_invariant() {
 
 #[test]
 fn online_replay_equals_offline_pipeline() {
+    let _lock = lock();
     let trace = fleet_trace();
     let model = model();
     let feed = TraceFeed::from_trace(&trace, MonotonePolicy::Reject)
@@ -199,6 +210,7 @@ fn assert_parity(series: &[f64], exec_secs: f64, label: &str) {
 
 #[test]
 fn incremental_matches_batch_over_ibm_fleet() {
+    let _lock = lock();
     let trace = generate(&IbmFleetConfig::small(17));
     let mut checked = 0;
     for app in trace.apps.iter().take(20) {
@@ -218,6 +230,7 @@ fn incremental_matches_batch_over_ibm_fleet() {
 
 #[test]
 fn incremental_matches_batch_over_azure_fleet() {
+    let _lock = lock();
     let fleet = azure::generate(&AzureFleetConfig::small(23));
     let mut checked = 0;
     for app in fleet.apps.iter().take(20) {
@@ -241,6 +254,7 @@ fn incremental_matches_batch_over_azure_fleet() {
 
 #[test]
 fn clamped_out_of_order_trace_serves_deterministically() {
+    let _lock = lock();
     let mut trace = fleet_trace();
     // Corrupt one app's stream with a late timestamp.
     let invs = &mut trace.apps[0].invocations;
