@@ -31,6 +31,9 @@
 //!   (`placed = evicted + scaled_down + displaced + resident_end`) and
 //!   the per-node occupancy integrals sum to the engine's alive-pod
 //!   time (the quantity `allocated_gb_seconds` is billed from).
+//! - **Span transparency** ([`check_spans_transparent`]): sampling
+//!   lifecycle spans perturbs no other observable — the spans-on result
+//!   with its span table stripped equals the run with spans off.
 
 use femux_sim::{
     simulate_app, FixedPolicy, ScalingPolicy, SimConfig, SimResult,
@@ -348,6 +351,30 @@ pub fn check_rate0_inert(
             "a rate-0 plan reported injections: {:?}",
             zeroed.faults
         ));
+    }
+    Ok(())
+}
+
+/// Enabling the span layer changes nothing but the span table:
+/// `with_spans` (a run under `cfg`) with its spans stripped must equal
+/// the same run with `spans: None`.
+pub fn check_spans_transparent(
+    app: &AppRecord,
+    with_spans: &SimResult,
+    span_ms: u64,
+    cfg: &SimConfig,
+    make_policy: &dyn Fn() -> Box<dyn ScalingPolicy>,
+) -> Result<(), String> {
+    let mut plain_cfg = cfg.clone();
+    plain_cfg.spans = None;
+    let plain =
+        simulate_app(app, make_policy().as_mut(), span_ms, &plain_cfg);
+    let mut stripped = with_spans.clone();
+    stripped.spans = Vec::new();
+    if stripped != plain {
+        return Err(
+            "enabling spans changed a non-span observable".to_string()
+        );
     }
     Ok(())
 }

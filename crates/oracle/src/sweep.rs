@@ -4,13 +4,13 @@
 //! plus a fixed battery of adversarial hand-rolled apps (same-ms
 //! bursts, boundary-time arrivals, tick-crossing durations,
 //! invocations past the span end, zero-duration requests, min-scale
-//! floors) — through [`femux_sim::simulate_app`],
-//! [`crate::reference_simulate`], and the frozen pre-event-queue
-//! per-tick engine [`femux_sim::simulate_app_tickwise`] under every
-//! policy × interval combination, checks exact three-way agreement and
-//! the metamorphic [`crate::invariants`], and shrinks any divergent
-//! case to a minimal counterexample (seed + app + first divergent
-//! tick).
+//! floors) — through [`femux_sim::simulate_app`] and the per-ms
+//! [`crate::reference_simulate`] under every policy × interval
+//! combination (plus finite-cluster variants), checks exact two-way
+//! agreement and the metamorphic [`crate::invariants`], and shrinks any
+//! divergent case to a minimal counterexample (seed + app + first
+//! divergent tick). Policies' idle fast paths are gated separately, by
+//! [`femux_sim::assert_tick_idle_equivalence`].
 //!
 //! Cases run through [`femux_par::par_map`], which preserves input
 //! order, so [`SweepReport::render`] is byte-identical at any
@@ -20,9 +20,9 @@ use crate::diff::{compare_results, Divergence};
 use crate::engine::reference_simulate;
 use crate::invariants;
 use femux_sim::{
-    simulate_app, simulate_app_tickwise, ClusterConfig, FixedPolicy,
-    ForecastPolicy, KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig,
-    PlacementKind, ScalingPolicy, SimConfig, SimResult, ZeroPolicy,
+    simulate_app, ClusterConfig, FixedPolicy, ForecastPolicy,
+    KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig, PlacementKind,
+    ScalingPolicy, SimConfig, ZeroPolicy,
 };
 use femux_stats::rng::Rng;
 use femux_trace::types::{
@@ -302,9 +302,8 @@ fn sim_config(interval_ms: u64, cluster: ClusterVariant) -> SimConfig {
         record_delays: true,
         // Sample every invocation's lifecycle span: the per-ms oracle
         // re-derives each span (segments, pod identity, wait cause)
-        // independently and `compare_results` checks them exactly. The
-        // frozen tickwise twin predates the layer, so its comparisons
-        // strip spans — which also re-asserts that enabling the layer
+        // independently and `compare_results` checks them exactly;
+        // `check_spans_transparent` asserts that enabling the layer
         // perturbs no other observable.
         spans: Some(femux_obs::span::SpanConfig::all(
             0x5EED ^ interval_ms,
@@ -314,17 +313,8 @@ fn sim_config(interval_ms: u64, cluster: ClusterVariant) -> SimConfig {
     }
 }
 
-/// The engine result with its span table stripped, for comparison
-/// against the span-less tickwise reference.
-fn sans_spans(res: &SimResult) -> SimResult {
-    let mut res = res.clone();
-    res.spans = Vec::new();
-    res
-}
-
-/// Runs one case through all three engines; `None` means exact
-/// agreement (engine vs per-ms oracle, then engine vs the frozen
-/// per-tick reference).
+/// Runs one case through the engine and the per-ms oracle; `None`
+/// means exact agreement.
 fn diverges(
     app: &AppRecord,
     policy: PolicyKind,
@@ -337,15 +327,7 @@ fn diverges(
         simulate_app(app, policy.build().as_mut(), span_ms, &cfg);
     let oracle =
         reference_simulate(app, policy.build().as_mut(), span_ms, &cfg);
-    compare_results(&engine, &oracle, interval_ms).or_else(|| {
-        let tickwise = simulate_app_tickwise(
-            app,
-            policy.build().as_mut(),
-            span_ms,
-            &cfg,
-        );
-        compare_results(&sans_spans(&engine), &tickwise, interval_ms)
-    })
+    compare_results(&engine, &oracle, interval_ms)
 }
 
 /// ddmin-lite: removes invocation chunks, then halves durations, then
@@ -588,16 +570,10 @@ struct Case {
     cluster: ClusterVariant,
 }
 
-#[allow(clippy::type_complexity)]
 struct CaseOutcome {
-    divergence: Option<(
-        String,
-        PolicyKind,
-        u64,
-        AppRecord,
-        ClusterVariant,
-        Divergence,
-    )>,
+    /// The engine and the oracle disagree (the shrinker re-derives the
+    /// divergence on the minimized case).
+    diverged: bool,
     invariant_failures: Vec<String>,
     invariant_checks: usize,
 }
@@ -617,44 +593,8 @@ fn run_case(case: &Case, cfg: &SweepConfig) -> CaseOutcome {
         span_ms,
         &sim_cfg,
     );
-    let divergence = compare_results(&engine, &oracle, case.interval_ms)
-        .map(|d| {
-            (
-                case.label.clone(),
-                case.policy,
-                case.interval_ms,
-                case.app.clone(),
-                case.cluster,
-                d,
-            )
-        })
-        .or_else(|| {
-            // Second reference: the frozen pre-event-queue per-tick
-            // engine must agree byte-exactly too.
-            let tickwise = simulate_app_tickwise(
-                &case.app,
-                case.policy.build().as_mut(),
-                span_ms,
-                &sim_cfg,
-            );
-            compare_results(
-                &sans_spans(&engine),
-                &tickwise,
-                case.interval_ms,
-            )
-            .map(
-                |d| {
-                    (
-                        format!("{} [tickwise]", case.label),
-                        case.policy,
-                        case.interval_ms,
-                        case.app.clone(),
-                        case.cluster,
-                        d,
-                    )
-                },
-            )
-        });
+    let diverged =
+        compare_results(&engine, &oracle, case.interval_ms).is_some();
 
     let mut failures = Vec::new();
     let mut checks = 0;
@@ -682,13 +622,21 @@ fn run_case(case: &Case, cfg: &SweepConfig) -> CaseOutcome {
         &mut checks,
     );
 
-    // The engine-vs-engine metamorphic checks re-simulate, so gate the
-    // expensive ones to one policy each (they do not depend on the
-    // swept policy beyond what each check prescribes).
     let make: Box<dyn Fn() -> Box<dyn ScalingPolicy>> = {
         let kind = case.policy;
         Box::new(move || kind.build())
     };
+    record(
+        "spans-transparent",
+        invariants::check_spans_transparent(
+            &case.app, &engine, span_ms, &sim_cfg, &make,
+        ),
+        &mut checks,
+    );
+
+    // The remaining engine-vs-engine metamorphic checks re-simulate, so
+    // gate them to one policy each (they do not depend on the swept
+    // policy beyond what each check prescribes).
     match case.policy {
         PolicyKind::KeepAlive => {
             record(
@@ -749,7 +697,7 @@ fn run_case(case: &Case, cfg: &SweepConfig) -> CaseOutcome {
     }
 
     CaseOutcome {
-        divergence,
+        diverged,
         invariant_failures: failures,
         invariant_checks: checks,
     }
@@ -809,8 +757,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     // Cluster variants ride on the adversarial + fuzz apps (the ones
     // that exercise bursts, floors, and span edges — exactly what
     // placement, eviction, and saturation react to), under three
-    // policies at the primary interval. Three-way exact agreement is
-    // checked for these cases like any other.
+    // policies at the primary interval. Exact engine-vs-oracle
+    // agreement is checked for these cases like any other.
     let cluster_policies = [
         PolicyKind::KeepAlive,
         PolicyKind::KnativeDefault,
@@ -850,27 +798,25 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         counterexamples: Vec::new(),
         invariant_failures: Vec::new(),
     };
-    for outcome in outcomes {
+    for (case, outcome) in cases.iter().zip(outcomes) {
         report.invariant_checks += outcome.invariant_checks;
         report
             .invariant_failures
             .extend(outcome.invariant_failures);
-        if let Some((label, policy, interval_ms, app, cluster, _)) =
-            outcome.divergence
-        {
+        if outcome.diverged {
             let (app, span_ms, divergence, shrink_rounds) = shrink(
-                app,
-                policy,
-                interval_ms,
+                case.app.clone(),
+                case.policy,
+                case.interval_ms,
                 cfg.span_ms,
                 cfg.max_shrink_rounds,
-                cluster,
+                case.cluster,
             );
             report.counterexamples.push(Counterexample {
                 seed: cfg.seed,
-                case: label,
-                policy,
-                interval_ms,
+                case: case.label.clone(),
+                policy: case.policy,
+                interval_ms: case.interval_ms,
                 span_ms,
                 app,
                 divergence,

@@ -4,12 +4,18 @@
 //! idle stretch in one call instead of once per tick. Its contract is
 //! strict: the fast path must leave the policy in the same state and
 //! produce the same decisions as calling `target_pods` every tick —
-//! otherwise the event-queue engine and the frozen per-tick reference
-//! diverge and every downstream number silently drifts.
+//! otherwise every downstream number silently drifts.
 //!
 //! [`assert_tick_idle_equivalence`] is the machine-checked form of that
-//! contract: it replays a battery of idle-heavy scenarios through both
-//! engines and asserts the full [`SimResult`] is `Debug`-identical.
+//! contract: it replays a battery of idle-heavy scenarios through the
+//! event engine twice — once with the policy as is, once wrapped in
+//! [`PerTick`], which hides the override so the engine takes one
+//! per-tick decision per idle tick — and asserts the full
+//! [`crate::engine::SimResult`] is `Debug`-identical. The engine is the
+//! same on both sides, so the policy's fast path is the only thing that
+//! can differ; the engine's own semantics are gated separately by the
+//! `femux-oracle` per-millisecond reference.
+//!
 //! The `femux-audit` `contract-impl` rule requires every policy that
 //! overrides `tick_idle` to be registered in a call to this function
 //! (the workspace test lives in `tests/tick_idle_equivalence.rs`), so
@@ -18,8 +24,26 @@
 use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};
 
 use crate::engine::{simulate_app, SimConfig};
-use crate::policy::ScalingPolicy;
-use crate::tickwise::simulate_app_tickwise;
+use crate::policy::{PolicyCtx, ScalingPolicy};
+
+/// Runs a policy with its idle fast path hidden: forwards everything
+/// except [`ScalingPolicy::tick_idle`], which stays at the trait
+/// default, so every idle tick is one `target_pods` decision.
+pub struct PerTick(pub Box<dyn ScalingPolicy>);
+
+impl ScalingPolicy for PerTick {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
+        self.0.target_pods(ctx)
+    }
+
+    fn fault_stats(&self) -> femux_fault::FaultStats {
+        self.0.fault_stats()
+    }
+}
 
 /// One synthetic scenario: `(name, app, span_ms)`.
 fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
@@ -72,11 +96,11 @@ fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
 }
 
 /// Asserts that the policy built by `mk` makes byte-identical
-/// decisions through the event-queue engine (idle fast path via
-/// `tick_idle`) and the frozen per-tick reference engine, across the
-/// idle-heavy scenario battery and both evaluation intervals.
+/// decisions through the event engine with its idle fast path
+/// (`tick_idle`) and with that path hidden behind [`PerTick`], across
+/// the idle-heavy scenario battery and both evaluation intervals.
 ///
-/// `mk` is called once per engine per case so each run starts from a
+/// `mk` is called once per side per case so each run starts from a
 /// fresh policy (policies are stateful).
 ///
 /// # Panics
@@ -96,7 +120,7 @@ pub fn assert_tick_idle_equivalence(
             };
             let fast = simulate_app(&app, mk().as_mut(), span_ms, &cfg);
             let slow =
-                simulate_app_tickwise(&app, mk().as_mut(), span_ms, &cfg);
+                simulate_app(&app, &mut PerTick(mk()), span_ms, &cfg);
             assert_eq!(
                 format!("{fast:?}"),
                 format!("{slow:?}"),
@@ -105,5 +129,47 @@ pub fn assert_tick_idle_equivalence(
                  {interval_ms} ms)",
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{IdleRun, IdleTicks};
+
+    /// Wants one pod on odd ticks and none on even ones, but its idle
+    /// fast path claims the first tick's target holds for the whole
+    /// stretch.
+    struct Overclaiming;
+
+    impl ScalingPolicy for Overclaiming {
+        fn name(&self) -> String {
+            "overclaiming".to_string()
+        }
+
+        fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
+            ((ctx.now_ms / ctx.interval_ms) % 2) as usize
+        }
+
+        fn tick_idle(
+            &mut self,
+            idle: &IdleTicks<'_>,
+            i: u64,
+            current_pods: usize,
+            max_ticks: u64,
+        ) -> IdleRun {
+            IdleRun {
+                target: self.target_pods(&idle.ctx(i, current_pods)),
+                ticks: max_ticks,
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tick_idle fast path diverges")]
+    fn harness_rejects_a_fast_path_that_overclaims_its_run() {
+        assert_tick_idle_equivalence("Overclaiming", &mut || {
+            Box::new(Overclaiming)
+        });
     }
 }

@@ -28,7 +28,6 @@ pub mod engine;
 pub mod equiv;
 pub mod fleet;
 pub mod policy;
-pub mod tickwise;
 
 pub use cluster::{
     BestFit, Cluster, ClusterConfig, ClusterOutcome, NodeConfig,
@@ -46,5 +45,4 @@ pub use policy::{
     FixedPolicy, ForecastPolicy, IdleRun, IdleTicks, KeepAlivePolicy,
     KnativeDefaultPolicy, PolicyCtx, ScalingPolicy, ZeroPolicy,
 };
-pub use equiv::assert_tick_idle_equivalence;
-pub use tickwise::simulate_app_tickwise;
+pub use equiv::{assert_tick_idle_equivalence, PerTick};

@@ -3,13 +3,17 @@
 //! `f64` equality, across seeded synthetic IBM/Azure apps, the
 //! adversarial battery, five policies, and both evaluation intervals —
 //! and the sweep's rendered report must be byte-identical at 1 and 8
-//! worker threads.
+//! worker threads. One input runs keep-alive behind
+//! [`femux_sim::PerTick`], so the engine's idle stretches advance in
+//! one-tick runs and that path is checked against the reference too.
 
 use femux_oracle::{
     compare_results, reference_simulate, run_sweep, PolicyKind,
     SweepConfig,
 };
-use femux_sim::{simulate_app, SimConfig};
+use femux_sim::{
+    simulate_app_with_stats, PerTick, ScalingPolicy, SimConfig,
+};
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 
 #[test]
@@ -42,7 +46,8 @@ fn sweep_report_is_thread_count_invariant() {
 #[test]
 fn seeded_ibm_apps_agree_under_every_policy_and_interval() {
     // Direct agreement outside the sweep harness: first ten non-empty
-    // apps of a seeded fleet, five policies, both intervals.
+    // apps of a seeded fleet, five policies plus keep-alive with its
+    // idle fast path hidden behind `PerTick`, both intervals.
     let trace = generate(&IbmFleetConfig::small(0xF32C));
     let apps: Vec<_> = trace
         .apps
@@ -52,23 +57,39 @@ fn seeded_ibm_apps_agree_under_every_policy_and_interval() {
         .collect();
     assert!(apps.len() >= 5, "seeded fleet too sparse");
     let span_ms = 125_000;
+    let inputs = PolicyKind::ALL
+        .iter()
+        .map(|&policy| (policy, false))
+        .chain([(PolicyKind::KeepAlive, true)]);
+    let mut one_tick_idle_runs = 0;
     for app in apps {
-        for policy in PolicyKind::ALL {
+        for (policy, per_tick) in inputs.clone() {
+            let build = || -> Box<dyn ScalingPolicy> {
+                if per_tick {
+                    Box::new(PerTick(policy.build()))
+                } else {
+                    policy.build()
+                }
+            };
             for interval_ms in [60_000, 10_000] {
                 let cfg = SimConfig {
                     interval_ms,
                     record_delays: true,
                     ..SimConfig::default()
                 };
-                let engine = simulate_app(
+                let (engine, stats) = simulate_app_with_stats(
                     app,
-                    policy.build().as_mut(),
+                    build().as_mut(),
                     span_ms,
                     &cfg,
                 );
+                if per_tick {
+                    assert_eq!(stats.batched_ticks, 0);
+                    one_tick_idle_runs += stats.idle_transitions;
+                }
                 let oracle = reference_simulate(
                     app,
-                    policy.build().as_mut(),
+                    build().as_mut(),
                     span_ms,
                     &cfg,
                 );
@@ -76,12 +97,17 @@ fn seeded_ibm_apps_agree_under_every_policy_and_interval() {
                     compare_results(&engine, &oracle, interval_ms)
                 {
                     panic!(
-                        "app {} policy {} interval {interval_ms}ms: {d}",
+                        "app {} policy {}{} interval {interval_ms}ms: {d}",
                         app.id,
+                        if per_tick { "per-tick " } else { "" },
                         policy.label(),
                     );
                 }
             }
         }
     }
+    assert!(
+        one_tick_idle_runs > 0,
+        "no PerTick case reached the engine's idle path"
+    );
 }
