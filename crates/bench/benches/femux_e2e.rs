@@ -4,32 +4,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use femux::config::FemuxConfig;
 use femux::manager::AppManager;
-use femux::model::{label_fleet, train, train_from_labels, ClassifierKind, TrainApp};
-use femux_stats::rng::Rng;
+use femux::model::{label_fleet, train, train_from_labels, ClassifierKind};
+use femux_bench::sine_fleet;
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn fleet(n: usize) -> Vec<TrainApp> {
-    let mut rng = Rng::seed_from_u64(21);
-    (0..n)
-        .map(|i| TrainApp {
-            concurrency: (0..600)
-                .map(|t| {
-                    (2.0 + ((t + i * 13) as f64 * 0.2).sin()
-                        + 0.2 * rng.normal())
-                    .max(0.0)
-                })
-                .collect(),
-            exec_secs: 0.5,
-            mem_gb: 0.25,
-            pod_concurrency: 1,
-        })
-        .collect()
-}
-
 fn bench_femux(c: &mut Criterion) {
     let cfg = FemuxConfig::for_tests();
-    let apps = fleet(8);
+    let apps = sine_fleet(8, 21);
     c.bench_function("femux_train_8apps", |b| {
         b.iter(|| {
             black_box(train(

@@ -11,31 +11,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use femux::config::FemuxConfig;
-use femux::model::{label_fleet, TrainApp};
-use femux_stats::rng::Rng;
+use femux::model::label_fleet;
+use femux_bench::sine_fleet;
 use std::hint::black_box;
-
-fn fleet(n: usize) -> Vec<TrainApp> {
-    let mut rng = Rng::seed_from_u64(33);
-    (0..n)
-        .map(|i| TrainApp {
-            concurrency: (0..600)
-                .map(|t| {
-                    (2.0 + ((t + i * 13) as f64 * 0.2).sin()
-                        + 0.2 * rng.normal())
-                    .max(0.0)
-                })
-                .collect(),
-            exec_secs: 0.5,
-            mem_gb: 0.25,
-            pod_concurrency: 1,
-        })
-        .collect()
-}
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let cfg = FemuxConfig::for_tests();
-    let apps = fleet(8);
+    let apps = sine_fleet(8, 33);
 
     femux_obs::set_enabled(false);
     c.bench_function("label_fleet_obs_off", |b| {

@@ -8,30 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use femux::config::FemuxConfig;
-use femux::model::{label_fleet, TrainApp};
+use femux::model::label_fleet;
+use femux_bench::sine_fleet;
 use femux_features::{extract_all, split_blocks, Block, FeatureKind};
 use femux_stats::rng::Rng;
 use std::hint::black_box;
-
-/// A 64-app fleet mixing periodic and noisy-stationary series, matching
-/// the e2e bench's generator but 8x wider.
-fn fleet(n: usize) -> Vec<TrainApp> {
-    let mut rng = Rng::seed_from_u64(64);
-    (0..n)
-        .map(|i| TrainApp {
-            concurrency: (0..600)
-                .map(|t| {
-                    (2.0 + ((t + i * 13) as f64 * 0.2).sin()
-                        + 0.2 * rng.normal())
-                    .max(0.0)
-                })
-                .collect(),
-            exec_secs: 0.5,
-            mem_gb: 0.25,
-            pod_concurrency: 1,
-        })
-        .collect()
-}
 
 /// Blocks for the feature-extraction benchmark: 504-minute windows from
 /// varied synthetic series.
@@ -53,7 +34,7 @@ fn blocks(n: usize) -> Vec<Block> {
 }
 
 fn bench_parallel_scaling(c: &mut Criterion) {
-    let apps = fleet(64);
+    let apps = sine_fleet(64, 64);
     let cfg = FemuxConfig::for_tests();
     let mut group = c.benchmark_group("label_fleet_64apps");
     for threads in [1usize, 2, 4, 8] {

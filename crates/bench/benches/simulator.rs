@@ -2,9 +2,13 @@
 //!
 //! §5.1-scale studies replay hundreds of thousands of invocations per
 //! policy; replay throughput (invocations/second) is what bounds
-//! experiment turnaround.
+//! experiment turnaround. `keepalive_10min_spans` re-runs
+//! `keepalive_10min` with every invocation's lifecycle span sampled, so
+//! the ratio of those two adjacent lines is the span layer's worst-case
+//! overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use femux_obs::span::SpanConfig;
 use femux_sim::{simulate_app, KeepAlivePolicy, KnativeDefaultPolicy, SimConfig};
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};
@@ -81,6 +85,21 @@ fn bench_simulator(c: &mut Criterion) {
                 &mut policy,
                 trace.span_ms,
                 &SimConfig::default(),
+            ))
+        })
+    });
+    let spans = SimConfig {
+        spans: Some(SpanConfig::all(0x5EED)),
+        ..SimConfig::default()
+    };
+    group.bench_function("keepalive_10min_spans", |b| {
+        b.iter(|| {
+            let mut policy = KeepAlivePolicy::ten_minutes();
+            black_box(simulate_app(
+                black_box(&app),
+                &mut policy,
+                trace.span_ms,
+                &spans,
             ))
         })
     });

@@ -3,13 +3,15 @@
 //! Every figure and table of the paper has a binary under `src/bin/`
 //! (see `EXPERIMENTS.md` for the index). This library holds what they
 //! share: scale presets, the Azure-like evaluation setup of §5.1
-//! (fleet, split, FeMux training), and plain-text table/series printers
-//! that emit the same rows the paper plots.
+//! (fleet, split, FeMux training), plain-text table/series printers
+//! that emit the same rows the paper plots, and the Criterion benches'
+//! training fleet.
 
 use std::sync::Arc;
 
 use femux::config::FemuxConfig;
 use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
+use femux_stats::rng::Rng;
 use femux_trace::split::{train_test_split, Split};
 use femux_trace::synth::azure::{generate, AzureFleet, AzureFleetConfig};
 
@@ -145,6 +147,27 @@ impl EvalSetup {
                 .expect("training fleet yields blocks"),
         )
     }
+}
+
+/// The Criterion benches' training fleet: `n` apps of 600 minutes,
+/// each a noisy sine around 2 pods, phase-shifted per app. `seed`
+/// drives the noise; each bench passes its own.
+pub fn sine_fleet(n: usize, seed: u64) -> Vec<TrainApp> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| TrainApp {
+            concurrency: (0..600)
+                .map(|t| {
+                    (2.0 + ((t + i * 13) as f64 * 0.2).sin()
+                        + 0.2 * rng.normal())
+                    .max(0.0)
+                })
+                .collect(),
+            exec_secs: 0.5,
+            mem_gb: 0.25,
+            pod_concurrency: 1,
+        })
+        .collect()
 }
 
 #[cfg(test)]
